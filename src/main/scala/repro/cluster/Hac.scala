@@ -24,23 +24,26 @@ object Hac {
     def cut(k: Int): Array[Int] = {
       require(k >= 1 && k <= n, s"cut k=$k outside [1, $n]")
       // Stable sort by height: parents never precede their children because
-      // UPGMA heights are monotone and formation order breaks ties.
+      // UPGMA heights are monotone and formation order breaks ties. Checked
+      // below: a merge whose child is not yet formed is rejected.
       val ordered = merges.sortBy(_.height)
       // Union-find over leaves; every cluster id maps to one member leaf.
       val parent = Array.tabulate(n)(identity)
       def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); var c = x
         while (parent(c) != r) { val nx = parent(c); parent(c) = r; c = nx }; r }
-      val member = new Array[Int](2 * n - 1)
+      // -1 marks a cluster not formed yet.
+      val member = Array.fill(2 * n - 1)(-1)
       var i = 0
       while (i < n) { member(i) = i; i += 1 }
       // Map original (unsorted) merge index -> cluster id for member lookup.
       val idOf = merges.zipWithIndex.map { case (m, j) => m -> (n + j) }.toMap
       ordered.take(n - k).foreach { m =>
+        require(member(m.a) >= 0 && member(m.b) >= 0,
+          s"merge $m applied before its children: heights are not monotone")
         val ra = find(member(m.a)); val rb = find(member(m.b))
         parent(rb) = ra
         member(idOf(m)) = ra
       }
-      // But member() for un-applied merges is never read; fill applied above.
       val labelOf = scala.collection.mutable.HashMap.empty[Int, Int]
       val labels = new Array[Int](n)
       i = 0

@@ -3,7 +3,7 @@ package repro.core
 import repro.cluster.{ConstrainedHac, Hac, Silhouette}
 import repro.data.SimpleTable
 import repro.embed.{ColumnEmbedder, TfIdf}
-import repro.util.VecOps
+import repro.util.{GreedyMatch, VecOps}
 
 /** Holistic column alignment (§3.3, Appendix A.1.1).
   *
@@ -81,18 +81,8 @@ object ColumnAlignment {
     val perQuery = Array.fill(query.nCols)(Vector.newBuilder[ColKey])
     tables.foreach { t =>
       val tEmb = embedder.embedAll(t, tfidf)
-      val sims = for {
-        qj <- query.cols.indices
-        tj <- t.cols.indices
-      } yield (VecOps.cosineSim(qEmb(qj), tEmb(tj)), qj, tj)
-      val usedQ = scala.collection.mutable.HashSet.empty[Int]
-      val usedT = scala.collection.mutable.HashSet.empty[Int]
-      sims.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case (_, qj, tj) =>
-        if (!usedQ.contains(qj) && !usedT.contains(tj)) {
-          usedQ += qj; usedT += tj
-          perQuery(qj) += ColKey(t.name, tj)
-        }
-      }
+      val sims = Array.tabulate(query.nCols, t.nCols)((qj, tj) => VecOps.cosineSim(qEmb(qj), tEmb(tj)))
+      GreedyMatch(sims).foreach(m => perQuery(m.qj) += ColKey(t.name, m.tj))
     }
     Aligned(query.name,
       query.cols.indices.map(qj => AlignedCluster(qj, perQuery(qj).result())).toVector)

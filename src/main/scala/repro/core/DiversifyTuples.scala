@@ -128,7 +128,7 @@ object DiversifyTuples {
     tuplesDf.join(ranked, "id")
   }
 
-  private val cosDistUdf = udf { (a: Seq[Double], b: Seq[Double]) =>
+  private[core] val cosDistUdf = udf { (a: Seq[Double], b: Seq[Double]) =>
     VecOps.cosineDist(a.toArray, b.toArray)
   }
 
@@ -150,5 +150,16 @@ object DiversifyTuples {
       .where(col("rk") <= k)
       .join(vecs, "id")
       .select("id", "table", "vec", "rankScore", "tieScore", "rk")
+  }
+
+  /** Full Algorithm 2 with steps 1 and 3 as Spark dataflows; step 2 runs on
+    * the driver over the pruned set. Selects the same tuples as [[run]].
+    */
+  def runSpark(spark: SparkSession, tuples: Vector[EmbTuple], query: Seq[Array[Double]], k: Int,
+               p: Int = 2, s: Int = 2500): Vector[EmbTuple] = {
+    val pruned = fromDF(sparkPrune(spark, toDF(spark, tuples), s))
+    val cands = clusterMedoids(pruned, k * p)
+    val queryDf = toDF(spark, query.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "query", v) })
+    fromDF(sparkRerank(spark, toDF(spark, cands), queryDf, k).orderBy("rk"))
   }
 }

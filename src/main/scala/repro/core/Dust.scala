@@ -30,6 +30,25 @@ object Dust {
   def embedTuples(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[DiversifyTuples.EmbTuple] =
     tuples.toVector.map(t => DiversifyTuples.EmbTuple(t.id, t.table, model.embed(t.pairs)))
 
+  /** AlignColumns → outer union → EmbedTuples over a fixed unionable set. */
+  private[repro] final case class Embedded(
+      aligned: ColumnAlignment.Aligned,
+      queryTuples: Vector[OuterUnion.UnionTuple],
+      lakeTuples: Vector[OuterUnion.UnionTuple],
+      lakeEmb: Vector[DiversifyTuples.EmbTuple],
+      queryEmb: Vector[Array[Double]],
+  )
+
+  private[repro] def alignUnionEmbed(query: SimpleTable, tables: Vector[SimpleTable], model: DustModel,
+                                     embedder: ColumnEmbedder, tfidf: TfIdf): Embedded = {
+    val aligned = ColumnAlignment.alignHolistic(query, tables, embedder, tfidf)
+    val lakeTuples = OuterUnion.union(query, tables, aligned)
+    val queryTuples = OuterUnion.queryTuples(query)
+    val lakeEmb = embedTuples(model, lakeTuples)
+    val queryEmb = queryTuples.map(t => model.embed(t.pairs))
+    Embedded(aligned, queryTuples, lakeTuples, lakeEmb, queryEmb)
+  }
+
   /** Full pipeline on the driver.
     *
     * @param tablesOverride bypass SearchTables with a fixed unionable set
@@ -39,19 +58,9 @@ object Dust {
   def run(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
           embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
           tfidfOpt: Option[TfIdf] = None,
-          tablesOverride: Option[Vector[SimpleTable]] = None): Result = {
-    val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
-    val tables = tablesOverride.getOrElse(
-      UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))
-    val aligned = ColumnAlignment.alignHolistic(query, tables, embedder, tfidf)
-    val lakeTuples = OuterUnion.union(query, tables, aligned)
-    val queryTuples = OuterUnion.queryTuples(query)
-    val lakeEmb = embedTuples(model, lakeTuples)
-    val queryEmb = queryTuples.map(t => model.embed(t.pairs))
-    val chosen = DiversifyTuples.run(lakeEmb, queryEmb, cfg.k, cfg.p, cfg.s)
-    val byId = lakeTuples.map(t => t.id -> t).toMap
-    Result(tables, aligned, queryTuples, lakeTuples, queryEmb, chosen.map(c => byId(c.id)))
-  }
+          tablesOverride: Option[Vector[SimpleTable]] = None): Result =
+    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride)(
+      DiversifyTuples.run(_, _, cfg.k, cfg.p, cfg.s))
 
   /** Same pipeline with the prune and re-rank steps executed as Spark
     * dataflows over the embedded-tuple frames (the lake-scale deployment
@@ -60,24 +69,24 @@ object Dust {
   def runSpark(spark: SparkSession, query: SimpleTable, bench: LakeBenchmark, model: DustModel,
                cfg: Config, embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
                tfidfOpt: Option[TfIdf] = None,
-               tablesOverride: Option[Vector[SimpleTable]] = None): Result = {
+               tablesOverride: Option[Vector[SimpleTable]] = None): Result =
+    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride)(
+      DiversifyTuples.runSpark(spark, _, _, cfg.k, cfg.p, cfg.s))
+
+  /** The stage sequence of Algorithm 1; `diversify` maps the embedded lake
+    * and query tuples to the selection.
+    */
+  private def pipeline(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
+                       embedder: ColumnEmbedder, tfidfOpt: Option[TfIdf],
+                       tablesOverride: Option[Vector[SimpleTable]])(
+      diversify: (Vector[DiversifyTuples.EmbTuple], Vector[Array[Double]]) => Vector[DiversifyTuples.EmbTuple]
+  ): Result = {
     val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
     val tables = tablesOverride.getOrElse(
       UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))
-    val aligned = ColumnAlignment.alignHolistic(query, tables, embedder, tfidf)
-    val lakeTuples = OuterUnion.union(query, tables, aligned)
-    val queryTuples = OuterUnion.queryTuples(query)
-    val lakeEmb = embedTuples(model, lakeTuples)
-    val queryEmb = queryTuples.map(t => model.embed(t.pairs))
-
-    val prunedDf = DiversifyTuples.sparkPrune(spark, DiversifyTuples.toDF(spark, lakeEmb), cfg.s)
-    val pruned = DiversifyTuples.fromDF(prunedDf)
-    val medoids = DiversifyTuples.clusterMedoids(pruned, cfg.k * cfg.p)
-    val queryDf = DiversifyTuples.toDF(spark,
-      queryEmb.zipWithIndex.map { case (v, i) => DiversifyTuples.EmbTuple(i.toLong, query.name, v) })
-    val topDf = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, medoids), queryDf, cfg.k)
-    val chosen = DiversifyTuples.fromDF(topDf.orderBy("rk").select("id", "table", "vec"))
-    val byId = lakeTuples.map(t => t.id -> t).toMap
-    Result(tables, aligned, queryTuples, lakeTuples, queryEmb, chosen.map(c => byId(c.id)))
+    val e = alignUnionEmbed(query, tables, model, embedder, tfidf)
+    val chosen = diversify(e.lakeEmb, e.queryEmb)
+    val byId = e.lakeTuples.map(t => t.id -> t).toMap
+    Result(tables, e.aligned, e.queryTuples, e.lakeTuples, e.queryEmb, chosen.map(c => byId(c.id)))
   }
 }

@@ -20,16 +20,9 @@ final class DustModel(
 ) {
   def dimOut: Int = w2.length
 
-  private def matVec(w: Array[Array[Double]], x: Array[Double]): Array[Double] = {
-    val r = new Array[Double](w.length)
-    var i = 0
-    while (i < w.length) { r(i) = VecOps.dot(w(i), x); i += 1 }
-    r
-  }
-
   /** Forward pass from base features. */
   def embedFeatures(x: Array[Double]): Array[Double] =
-    matVec(w2, matVec(w1, x).map(math.tanh))
+    DustModel.matVec(w2, DustModel.matVec(w1, x).map(math.tanh))
 
   /** Embed a tuple given as (header, value) pairs. */
   def embed(pairs: Seq[(String, String)]): Array[Double] =
@@ -40,6 +33,13 @@ final class DustModel(
 }
 
 object DustModel {
+
+  private def matVec(w: Array[Array[Double]], x: Array[Double]): Array[Double] = {
+    val r = new Array[Double](w.length)
+    var i = 0
+    while (i < w.length) { r(i) = VecOps.dot(w(i), x); i += 1 }
+    r
+  }
 
   final case class TrainConfig(
       hidden: Int = 64,
@@ -89,13 +89,6 @@ object DustModel {
 
     val w1 = initMat(cfg.hidden, dIn)
     val w2 = initMat(cfg.out, cfg.hidden)
-
-    def matVec(w: Array[Array[Double]], x: Array[Double]): Array[Double] = {
-      val r = new Array[Double](w.length)
-      var i = 0
-      while (i < w.length) { r(i) = VecOps.dot(w(i), x); i += 1 }
-      r
-    }
 
     /** Forward with cached activations: (h = tanh(W1 x), e = W2 h). */
     def forward(x: Array[Double]): (Array[Double], Array[Double]) = {

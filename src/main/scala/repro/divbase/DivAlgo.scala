@@ -15,7 +15,7 @@ trait DivAlgo {
 }
 
 object DivAlgo {
-  type Dist = (Array[Double], Array[Double]) => Double
+  type Dist = repro.core.DiversifyTuples.Dist
 
   /** Relevance of a tuple for MMR-style methods: similarity to the query
     * centroid (the standard IR notion adapted to tuples).

@@ -1,6 +1,6 @@
 package repro.exp
 
-import repro.core.{ColumnAlignment, DiversifyTuples, DiversityMetrics, Dust, OuterUnion}
+import repro.core.{DiversifyTuples, DiversityMetrics, Dust}
 import repro.data.LakeBenchmark
 import repro.divbase._
 import repro.embed.ColumnEmbedders
@@ -35,16 +35,14 @@ object Table2Experiment {
       val tables = bench.unionableFor(q)
       if (tables.isEmpty) None
       else {
-        val aligned = ColumnAlignment.alignHolistic(q, tables, ColumnEmbedders.dustDefault, tfidf)
-        val lakeTuples = OuterUnion.union(q, tables, aligned)
-        val lakeEmb = Dust.embedTuples(model, lakeTuples)
-        val queryEmb = OuterUnion.queryTuples(q).map(t => model.embed(t.pairs))
-        Some(QueryInstance(q.name, DiversifyTuples.prune(lakeEmb, s), queryEmb))
+        val e = Dust.alignUnionEmbed(q, tables, model, ColumnEmbedders.dustDefault, tfidf)
+        Some(QueryInstance(q.name, DiversifyTuples.prune(e.lakeEmb, s), e.queryEmb))
       }
     }
   }
 
-  private def winners(scores: Seq[(String, Double)]): Set[String] = {
+  /** Methods within 1e-12 of the best score (ties all win). */
+  private[exp] def winners(scores: Seq[(String, Double)]): Set[String] = {
     val best = scores.map(_._2).max
     scores.collect { case (m, v) if v >= best - 1e-12 => m }.toSet
   }

@@ -2,7 +2,7 @@ package repro.search
 
 import repro.data.{LakeBenchmark, SimpleTable, Tokenizer}
 import repro.embed.{ColumnLevelEmbedder, HashLm, TfIdf}
-import repro.util.VecOps
+import repro.util.{GreedyMatch, VecOps}
 
 /** D3L (Bogatu et al. [2]): related-table search aggregating several
   * column-level evidence signals — header-name similarity, value overlap,
@@ -62,15 +62,8 @@ object D3L {
   def tableScore(q: SimpleTable, t: SimpleTable, tfidf: TfIdf): Double = {
     val qEmb = embedder.embedAll(q, tfidf)
     val tEmb = embedder.embedAll(t, tfidf)
-    val scored = for { qj <- q.cols.indices; tj <- t.cols.indices }
-      yield (columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)), qj, tj)
-    val usedQ = scala.collection.mutable.HashSet.empty[Int]
-    val usedT = scala.collection.mutable.HashSet.empty[Int]
-    var total = 0.0
-    scored.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case (s, qj, tj) =>
-      if (!usedQ.contains(qj) && !usedT.contains(tj)) { usedQ += qj; usedT += tj; total += s }
-    }
-    total / q.nCols
+    val scored = Array.tabulate(q.nCols, t.nCols)((qj, tj) => columnScore(q, qj, t, tj, qEmb(qj), tEmb(tj)))
+    GreedyMatch(scored).foldLeft(0.0)(_ + _.score) / q.nCols
   }
 
   def rankTables(query: SimpleTable, bench: LakeBenchmark, tfidf: TfIdf): Vector[UnionSearch.Scored] =

@@ -2,7 +2,7 @@ package repro.search
 
 import repro.data.{LakeBenchmark, SimpleTable}
 import repro.embed.{ColumnEmbedder, TfIdf}
-import repro.util.VecOps
+import repro.util.{GreedyMatch, VecOps}
 
 /** Starmie-style table union search (Fan et al. [11], §3.3): rank lake
   * tables by the maximum-weight bipartite matching score between their
@@ -18,19 +18,8 @@ object UnionSearch {
     */
   def unionabilityScore(qEmb: Vector[Array[Double]], tEmb: Vector[Array[Double]]): Double = {
     if (qEmb.isEmpty || tEmb.isEmpty) return 0.0
-    val sims = for {
-      qj <- qEmb.indices
-      tj <- tEmb.indices
-    } yield (VecOps.cosineSim(qEmb(qj), tEmb(tj)), qj, tj)
-    val usedQ = scala.collection.mutable.HashSet.empty[Int]
-    val usedT = scala.collection.mutable.HashSet.empty[Int]
-    var total = 0.0
-    sims.sortBy { case (s, qj, tj) => (-s, qj, tj) }.foreach { case (s, qj, tj) =>
-      if (!usedQ.contains(qj) && !usedT.contains(tj)) {
-        usedQ += qj; usedT += tj; total += s
-      }
-    }
-    total / qEmb.size
+    val sims = Array.tabulate(qEmb.size, tEmb.size)((qj, tj) => VecOps.cosineSim(qEmb(qj), tEmb(tj)))
+    GreedyMatch(sims).foldLeft(0.0)(_ + _.score) / qEmb.size
   }
 
   /** Rank the whole lake against a query; descending score. */

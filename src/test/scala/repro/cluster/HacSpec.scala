@@ -71,6 +71,12 @@ class HacSpec extends SparkSpec {
     assert(hs.zip(hs.tail).forall { case (a, b) => a <= b })
   }
 
+  test("cut rejects a merge applied before its child is formed") {
+    // Merge 1 joins cluster 3 (made by merge 0) yet sorts first by height.
+    val den = Hac.Dendrogram(3, Vector(Hac.Merge(0, 1, 2.0), Hac.Merge(3, 2, 1.0)))
+    intercept[IllegalArgumentException](den.cut(2))
+  }
+
   test("clusterLabels caps k at n") {
     val pts = IndexedSeq(Array(0.0), Array(1.0))
     val labels = Hac.clusterLabels(pts, 10, VecOps.euclidean)
