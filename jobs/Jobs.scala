@@ -4,10 +4,10 @@ import org.apache.spark.sql.SparkSession
 import repro.exp._
 
 /** spark-submit entrypoints — one per reproduced table. Each prints the
-  * table exactly as the bench suite does; the SparkSession is created for
-  * the Spark-backed steps (Parquet lake, distributed prune/rerank) even
-  * where the experiment core is driver-side, so `spark-submit` semantics
-  * hold throughout.
+  * table exactly as the bench suite does. Every experiment runs on the
+  * driver and no job uses the session (no Parquet lake, no Spark
+  * prune/re-rank); it is created so each job runs as a normal Spark
+  * application under `spark-submit`.
   */
 object JobUtil {
   def withSpark[A](name: String)(body: SparkSession => A): A = {

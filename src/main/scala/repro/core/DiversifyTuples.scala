@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.IntegerType
 import repro.cluster.Hac
 import repro.util.VecOps
 
@@ -16,11 +16,12 @@ import repro.util.VecOps
   *    descending, tie-broken by average distance (§5.3, Example 5);
   *    return the top k.
   *
-  * The driver-side functions are the algorithmic core (and what the
-  * efficiency experiments time, matching the paper's single-node runs);
-  * `sparkPrune` / `sparkRerank` express steps 1 and 3 as Spark dataflows
-  * over `(id, table, vec)` frames for lake-scale runs and are tested equal
-  * to the driver core and to DuckDB SQL.
+  * The driver-side functions are Algorithm 2 as `Dust.run` executes it (and
+  * what the efficiency experiments time, matching the paper's single-node
+  * runs). `sparkPrune` / `sparkRerank` run steps 1 and 3 over
+  * `(id, table, vec)` frames with the same scoring helpers, so they select
+  * the same ids; they are kept as benchmarked, DuckDB-checked dataflows, not
+  * as a second pipeline.
   */
 object DiversifyTuples {
 
@@ -33,15 +34,22 @@ object DiversifyTuples {
   // Driver core
   // ------------------------------------------------------------------
 
+  /** §5.1 score of each tuple of one table: its distance from the table's
+    * mean embedding, the mean summed in the order given.
+    */
+  private def tableScores(ts: Seq[EmbTuple], dist: Dist): Seq[(EmbTuple, Double)] = {
+    val mean = VecOps.mean(ts.map(_.vec))
+    ts.map(t => (t, dist(mean, t.vec)))
+  }
+
   /** §5.1 — keep the global top-s tuples by distance from their table mean.
     * Deterministic: ties broken by ascending id.
     */
   def prune(tuples: Vector[EmbTuple], s: Int, dist: Dist = VecOps.cosineDist): Vector[EmbTuple] = {
     if (tuples.size <= s) return tuples
-    val means: Map[String, Array[Double]] =
-      tuples.groupBy(_.table).view.mapValues(ts => VecOps.mean(ts.map(_.vec))).toMap
-    tuples
-      .map(t => (t, dist(means(t.table), t.vec)))
+    tuples.groupBy(_.table).values
+      .flatMap(tableScores(_, dist))
+      .toVector
       .sortBy { case (t, d) => (-d, t.id) }
       .take(s)
       .map(_._1)
@@ -63,16 +71,21 @@ object DiversifyTuples {
       }
   }
 
+  /** §5.3 key of one candidate: (min, mean) distance to the query tuples,
+    * the mean summed in query order.
+    */
+  private def queryKey(vec: Array[Double], query: Seq[Array[Double]], dist: Dist): (Double, Double) = {
+    val ds = query.map(q => dist(vec, q))
+    (ds.min, ds.sum / ds.size)
+  }
+
   /** §5.3 — rank by (min distance to query desc, avg distance desc, id asc). */
   def rerank(cands: Vector[EmbTuple], query: Seq[Array[Double]], k: Int,
              dist: Dist = VecOps.cosineDist): Vector[EmbTuple] = {
     require(query.nonEmpty, "rerank needs query tuples")
     cands
-      .map { t =>
-        val ds = query.map(q => dist(t.vec, q))
-        (t, ds.min, ds.sum / ds.size)
-      }
-      .sortBy { case (t, mn, avg) => (-mn, -avg, t.id) }
+      .map(t => (t, queryKey(t.vec, query, dist)))
+      .sortBy { case (t, (mn, avg)) => (-mn, -avg, t.id) }
       .take(k)
       .map(_._1)
   }
@@ -89,8 +102,6 @@ object DiversifyTuples {
   // Spark dataflow versions. Frames carry (id LONG, table STRING, vec ARRAY<DOUBLE>).
   // ------------------------------------------------------------------
 
-  import org.apache.spark.sql.Row
-
   def toDF(spark: SparkSession, tuples: Seq[EmbTuple]): DataFrame = {
     import spark.implicits._
     spark.createDataset(tuples.map(t => (t.id, t.table, t.vec.toSeq))).toDF("id", "table", "vec")
@@ -101,65 +112,39 @@ object DiversifyTuples {
       EmbTuple(r.getLong(0), r.getString(1), r.getSeq[Double](2).toArray)
     }
 
-  /** Distributed §5.1: per-table mean via explode/groupBy, cosine distance
-    * from the mean assembled from sufficient statistics, global top-s.
+  /** §5.1 as a dataflow: [[tableScores]] over each table's tuples in id
+    * order, then the global top-s. Selects the same ids as [[prune]].
     */
   def sparkPrune(spark: SparkSession, tuplesDf: DataFrame, s: Int): DataFrame = {
-    val exploded = tuplesDf
-      .select(col("id"), col("table"), posexplode(col("vec")).as(Seq("pos", "x")))
-    val meanByTablePos = exploded
-      .groupBy("table", "pos")
-      .agg(avg("x") as "m")
-    val stats = exploded
-      .join(meanByTablePos, Seq("table", "pos"))
-      .groupBy("id", "table")
-      .agg(
-        sum(col("x") * col("m")) as "dot",
-        sqrt(sum(col("x") * col("x"))) as "nx",
-        sqrt(sum(col("m") * col("m"))) as "nm",
-      )
-      .withColumn("score",
-        when(col("nx") * col("nm") > lit(0.0),
-             lit(1.0) - col("dot") / (col("nx") * col("nm"))).otherwise(lit(1.0)))
-    val ranked = stats
-      .withColumn("rk", row_number().over(Window.orderBy(col("score").desc, col("id").asc)))
-      .where(col("rk") <= s)
-      .select("id")
-    tuplesDf.join(ranked, "id")
+    import spark.implicits._
+    tuplesDf.select("id", "table", "vec").as[EmbTuple]
+      .groupByKey(_.table)
+      .flatMapGroups { (_, ts) =>
+        tableScores(ts.toVector.sortBy(_.id), VecOps.cosineDist).map { case (t, d) => (t.id, t.table, t.vec, d) }
+      }
+      .toDF("id", "table", "vec", "score")
+      .orderBy(col("score").desc, col("id").asc)
+      .limit(s)
+      .select("id", "table", "vec")
   }
 
-  private[core] val cosDistUdf = udf { (a: Seq[Double], b: Seq[Double]) =>
-    VecOps.cosineDist(a.toArray, b.toArray)
-  }
-
-  /** Distributed §5.3: cross join with the query tuples, min/avg aggregate,
-    * rank desc with the paper's tie-break, top-k.
+  /** §5.3 as a dataflow: [[queryKey]] of each candidate against the query
+    * vectors (collected in id order), then the top-k with `rk` = 1..k.
+    * Selects the same ids in the same order as [[rerank]].
     */
   def sparkRerank(spark: SparkSession, candDf: DataFrame, queryDf: DataFrame, k: Int): DataFrame = {
-    val q = queryDf.select(col("id") as "qid", col("vec") as "qvec")
-    val scored = candDf
-      .crossJoin(q)
-      .select(col("id"), col("table"), col("vec"),
-              cosDistUdf(col("vec"), col("qvec")) as "d")
-      .groupBy("id", "table")
-      .agg(min("d") as "rankScore", avg("d") as "tieScore")
-    val vecs = candDf.select(col("id"), col("vec"))
-    scored
-      .withColumn("rk", row_number().over(
-        Window.orderBy(col("rankScore").desc, col("tieScore").desc, col("id").asc)))
-      .where(col("rk") <= k)
-      .join(vecs, "id")
-      .select("id", "table", "vec", "rankScore", "tieScore", "rk")
-  }
-
-  /** Full Algorithm 2 with steps 1 and 3 as Spark dataflows; step 2 runs on
-    * the driver over the pruned set. Selects the same tuples as [[run]].
-    */
-  def runSpark(spark: SparkSession, tuples: Vector[EmbTuple], query: Seq[Array[Double]], k: Int,
-               p: Int = 2, s: Int = 2500): Vector[EmbTuple] = {
-    val pruned = fromDF(sparkPrune(spark, toDF(spark, tuples), s))
-    val cands = clusterMedoids(pruned, k * p)
-    val queryDf = toDF(spark, query.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "query", v) })
-    fromDF(sparkRerank(spark, toDF(spark, cands), queryDf, k).orderBy("rk"))
+    import spark.implicits._
+    val query = fromDF(queryDf.orderBy("id")).map(_.vec)
+    require(query.nonEmpty, "rerank needs query tuples")
+    val top = candDf.select("id", "table", "vec").as[EmbTuple]
+      .map { t =>
+        val (mn, avg) = queryKey(t.vec, query, VecOps.cosineDist)
+        (t.id, t.table, t.vec, mn, avg)
+      }
+      .toDF("id", "table", "vec", "rankScore", "tieScore")
+      .orderBy(col("rankScore").desc, col("tieScore").desc, col("id").asc)
+      .limit(k)
+    val ranked = top.rdd.zipWithIndex.map { case (r, i) => Row.fromSeq(r.toSeq :+ (i + 1).toInt) }
+    spark.createDataFrame(ranked, top.schema.add("rk", IntegerType, nullable = false))
   }
 }

@@ -62,6 +62,10 @@ object DiversityMetrics {
   // Spark dataflow versions over (id LONG, vec ARRAY<DOUBLE>) frames.
   // -------------------------------------------------------------------
 
+  private val cosDistUdf = udf { (a: Seq[Double], b: Seq[Double]) =>
+    VecOps.cosineDist(a.toArray, b.toArray)
+  }
+
   /** All query↔selected plus selected-pairwise (i<j) distances as one frame
     * with columns (kind STRING, d DOUBLE).
     */
@@ -70,10 +74,10 @@ object DiversityMetrics {
     val s1 = selDf.select(col("id") as "id1", col("vec") as "vec1")
     val s2 = selDf.select(col("id") as "id2", col("vec") as "vec2")
     val cross = q.crossJoin(s1)
-      .select(lit("cross") as "kind", DiversifyTuples.cosDistUdf(col("qvec"), col("vec1")) as "d")
+      .select(lit("cross") as "kind", cosDistUdf(col("qvec"), col("vec1")) as "d")
     val within = s1.crossJoin(s2)
       .where(col("id1") < col("id2"))
-      .select(lit("within") as "kind", DiversifyTuples.cosDistUdf(col("vec1"), col("vec2")) as "d")
+      .select(lit("within") as "kind", cosDistUdf(col("vec1"), col("vec2")) as "d")
     cross.unionByName(within)
   }
 

@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.data.{LakeBenchmark, SimpleTable}
-import repro.embed.{ColumnEmbedder, ColumnEmbedders, TfIdf}
+import repro.embed.{ColumnEmbedders, TfIdf}
 import repro.search.UnionSearch
 
 /** DUST end-to-end (Algorithm 1): SearchTables → AlignColumns → EmbedTuples
@@ -26,6 +25,9 @@ object Dust {
       selected: Vector[OuterUnion.UnionTuple],
   )
 
+  /** The column embedder SearchTables and AlignColumns use. */
+  private val embedder = ColumnEmbedders.dustDefault
+
   /** Embed unionable tuples with the fine-tuned model. */
   def embedTuples(model: DustModel, tuples: Seq[OuterUnion.UnionTuple]): Vector[DiversifyTuples.EmbTuple] =
     tuples.toVector.map(t => DiversifyTuples.EmbTuple(t.id, t.table, model.embed(t.pairs)))
@@ -40,7 +42,7 @@ object Dust {
   )
 
   private[repro] def alignUnionEmbed(query: SimpleTable, tables: Vector[SimpleTable], model: DustModel,
-                                     embedder: ColumnEmbedder, tfidf: TfIdf): Embedded = {
+                                     tfidf: TfIdf): Embedded = {
     val aligned = ColumnAlignment.alignHolistic(query, tables, embedder, tfidf)
     val lakeTuples = OuterUnion.union(query, tables, aligned)
     val queryTuples = OuterUnion.queryTuples(query)
@@ -56,36 +58,13 @@ object Dust {
     *                       unionable tables, as the paper does)
     */
   def run(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
-          embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
           tfidfOpt: Option[TfIdf] = None,
-          tablesOverride: Option[Vector[SimpleTable]] = None): Result =
-    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride)(
-      DiversifyTuples.run(_, _, cfg.k, cfg.p, cfg.s))
-
-  /** Same pipeline with the prune and re-rank steps executed as Spark
-    * dataflows over the embedded-tuple frames (the lake-scale deployment
-    * path; equal output to [[run]] by the equivalence tests).
-    */
-  def runSpark(spark: SparkSession, query: SimpleTable, bench: LakeBenchmark, model: DustModel,
-               cfg: Config, embedder: ColumnEmbedder = ColumnEmbedders.dustDefault,
-               tfidfOpt: Option[TfIdf] = None,
-               tablesOverride: Option[Vector[SimpleTable]] = None): Result =
-    pipeline(query, bench, model, cfg, embedder, tfidfOpt, tablesOverride)(
-      DiversifyTuples.runSpark(spark, _, _, cfg.k, cfg.p, cfg.s))
-
-  /** The stage sequence of Algorithm 1; `diversify` maps the embedded lake
-    * and query tuples to the selection.
-    */
-  private def pipeline(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
-                       embedder: ColumnEmbedder, tfidfOpt: Option[TfIdf],
-                       tablesOverride: Option[Vector[SimpleTable]])(
-      diversify: (Vector[DiversifyTuples.EmbTuple], Vector[Array[Double]]) => Vector[DiversifyTuples.EmbTuple]
-  ): Result = {
+          tablesOverride: Option[Vector[SimpleTable]] = None): Result = {
     val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
     val tables = tablesOverride.getOrElse(
       UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))
-    val e = alignUnionEmbed(query, tables, model, embedder, tfidf)
-    val chosen = diversify(e.lakeEmb, e.queryEmb)
+    val e = alignUnionEmbed(query, tables, model, tfidf)
+    val chosen = DiversifyTuples.run(e.lakeEmb, e.queryEmb, cfg.k, cfg.p, cfg.s)
     val byId = e.lakeTuples.map(t => t.id -> t).toMap
     Result(tables, e.aligned, e.queryTuples, e.lakeTuples, e.queryEmb, chosen.map(c => byId(c.id)))
   }

@@ -4,7 +4,8 @@ package repro.data
   *
   * Tables are small (lite-scale benchmarks), so they are held as plain
   * row-major string matrices; [[LakeIO]] round-trips them through Parquet
-  * (long format) so the pipeline exercises a Spark-backed lake.
+  * (long format), which `SparkPipelineBench` checks; the pipeline reads
+  * them from memory.
   */
 
 /** A column of a lake/query table.

@@ -54,7 +54,7 @@ object CaseStudyExperiment {
 
     ks.toVector.flatMap { k =>
       val dust = Dust.run(query, bench, model, Dust.Config(topN = lake.size, k = k),
-                          embedder, Some(tfidf), tablesOverride = Some(lake))
+                          Some(tfidf), tablesOverride = Some(lake))
       val methodTuples: Vector[(String, Vector[OuterUnion.UnionTuple])] = Vector(
         "D3L" -> takeK(query, d3lRank, aligned, k, dedup = false),
         "D3L-D" -> takeK(query, d3lRank, aligned, k, dedup = true),

@@ -3,7 +3,6 @@ package repro.exp
 import repro.core.{DiversifyTuples, DiversityMetrics, Dust}
 import repro.data.LakeBenchmark
 import repro.divbase._
-import repro.embed.ColumnEmbedders
 
 /** Table 2 — tuple diversification effectiveness and efficiency (§6.4):
   * for each query, each algorithm diversifies the same pruned candidate set
@@ -35,7 +34,7 @@ object Table2Experiment {
       val tables = bench.unionableFor(q)
       if (tables.isEmpty) None
       else {
-        val e = Dust.alignUnionEmbed(q, tables, model, ColumnEmbedders.dustDefault, tfidf)
+        val e = Dust.alignUnionEmbed(q, tables, model, tfidf)
         Some(QueryInstance(q.name, DiversifyTuples.prune(e.lakeEmb, s), e.queryEmb))
       }
     }

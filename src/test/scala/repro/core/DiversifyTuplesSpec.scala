@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.core.DiversifyTuples.EmbTuple
@@ -105,7 +106,11 @@ class DiversifyTuplesSpec extends SparkSpec {
   }
 
   test("rerank requires query tuples") {
-    intercept[IllegalArgumentException](DiversifyTuples.rerank(mkTuples(3, 8), Nil, 2))
+    val cands = mkTuples(3, 8)
+    val driver = intercept[IllegalArgumentException](DiversifyTuples.rerank(cands, Nil, 2))
+    val viaSpark = intercept[IllegalArgumentException](DiversifyTuples.sparkRerank(spark,
+      DiversifyTuples.toDF(spark, cands), DiversifyTuples.toDF(spark, Nil), 2))
+    Seq(driver, viaSpark).foreach(e => assert(e.getMessage.contains("rerank needs query tuples")))
   }
 
   test("run composes prune, cluster and rerank") {
@@ -131,9 +136,11 @@ class DiversifyTuplesSpec extends SparkSpec {
     val q = mkTuples(6, 12).map(_.vec)
     val driver = DiversifyTuples.rerank(cands, q, 8).map(_.id)
     val qDf = DiversifyTuples.toDF(spark, q.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val top = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, cands), qDf, 8)
-      .orderBy("rk").select("id").collect().map(_.getLong(0)).toVector
-    assert(top == driver)
+    val ranked = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, cands), qDf, 8)
+    assert(ranked.columns.toSeq == Seq("id", "table", "vec", "rankScore", "tieScore", "rk"))
+    val top = ranked.orderBy("rk").select("id", "rk").collect().toVector
+    assert(top.map(_.getLong(0)) == driver)
+    assert(top.map(_.getInt(1)) == (1 to 8))
   }
 
   test("oracle: rerank top-k matches DuckDB SQL over the distance table") {
@@ -164,16 +171,40 @@ class DiversifyTuplesSpec extends SparkSpec {
                                col("d").cast("string") as "d"))
   }
 
-  test("oracle: per-table embedding means match DuckDB") {
-    val ts = mkTuples(30, 15, dim = 4)
+  test("oracle: sparkPrune matches DuckDB SQL of the per-table score") {
+    val ts = mkTuples(30, 15, dim = 4) :+ EmbTuple(30L, "t0", Array.fill(4)(0.0))
+    val s = 12
+    import spark.implicits._
+    val cells = spark.createDataset(for {
+      t <- ts
+      (x, pos) <- t.vec.zipWithIndex
+    } yield (t.table, t.id.toString, pos.toString, x.toString)).toDF("tbl", "id", "pos", "x")
+    Oracle.assertEquivalent(DiversifyTuples.sparkPrune(spark, DiversifyTuples.toDF(spark, ts), s).select("id"),
+      s"""WITH c AS (
+            SELECT tbl, CAST(id AS BIGINT) AS id, CAST(pos AS INTEGER) AS pos, CAST(x AS DOUBLE) AS x
+            FROM cells),
+          means AS (SELECT tbl, pos, avg(x) AS m FROM c GROUP BY tbl, pos),
+          stats AS (
+            SELECT c.id, sum(c.x * means.m) AS dot, sqrt(sum(c.x * c.x)) AS nx,
+                   sqrt(sum(means.m * means.m)) AS nm
+            FROM c JOIN means ON c.tbl = means.tbl AND c.pos = means.pos
+            GROUP BY c.id)
+          SELECT id FROM stats
+          ORDER BY CASE WHEN nx * nm > 0 THEN 1 - dot / (nx * nm) ELSE 1 END DESC, id
+          LIMIT $s""",
+      "cells" -> cells)
+  }
+
+  test("sparkPrune and sparkRerank plans hold no Window operator") {
+    val ts = mkTuples(40, 17)
     val df = DiversifyTuples.toDF(spark, ts)
-    import org.apache.spark.sql.functions._
-    val exploded = df.select(col("table") as "tbl", posexplode(col("vec")).as(Seq("pos", "x")))
-    val means = exploded.groupBy("tbl", "pos").agg(avg("x") as "m")
-    Oracle.assertEquivalent(means,
-      "SELECT tbl, pos, avg(CAST(x AS DOUBLE)) AS m FROM cells GROUP BY tbl, pos",
-      "cells" -> exploded.select(col("tbl"), col("pos").cast("string") as "pos",
-                                 col("x").cast("string") as "x"))
+    val qDf = DiversifyTuples.toDF(spark, mkTuples(3, 18))
+    val plans = Seq(DiversifyTuples.sparkPrune(spark, df, 10), DiversifyTuples.sparkRerank(spark, df, qDf, 5))
+      .map(_.queryExecution.executedPlan)
+    object aqe extends AdaptiveSparkPlanHelper
+    plans.foreach { p =>
+      assert(aqe.collect(p) { case n if n.nodeName.contains("Window") => n.nodeName }.isEmpty, p.treeString)
+    }
   }
 
   test("toDF/fromDF round-trips tuples") {

@@ -5,7 +5,7 @@ import repro.data.Generators
 import repro.exp.{Benchmarks, Models}
 
 /** End-to-end Algorithm 1 integration tests, including driver/Spark
-  * pipeline equivalence.
+  * equality of the prune and re-rank steps on the pipeline's embeddings.
   */
 class DustPipelineSpec extends SparkSpec {
   private lazy val bench = Generators.ugenLite
@@ -38,9 +38,23 @@ class DustPipelineSpec extends SparkSpec {
   }
 
   test("spark pipeline selects the same tuples as the driver pipeline") {
-    val sparkRes = Dust.runSpark(spark, q, bench, model, cfg,
-      tfidfOpt = Some(Benchmarks.tfidfFor(bench)))
-    assert(sparkRes.selected.map(_.id) == result.selected.map(_.id))
+    // The Spark pipeline is sparkPrune then sparkRerank; each step is checked
+    // against its driver counterpart on the pipeline's own embeddings.
+    val e = Dust.alignUnionEmbed(q, result.tables, model, Benchmarks.tfidfFor(bench))
+    val lakeDf = DiversifyTuples.toDF(spark, e.lakeEmb)
+    // cfg.s keeps this small union whole; half of it makes the budget bind.
+    Seq(cfg.s, e.lakeEmb.size / 2).foreach { s =>
+      val sparkIds = DiversifyTuples.fromDF(DiversifyTuples.sparkPrune(spark, lakeDf, s)).map(_.id)
+      assert(sparkIds.sorted == DiversifyTuples.prune(e.lakeEmb, s).map(_.id).sorted, s"s = $s")
+    }
+
+    val medoids = DiversifyTuples.clusterMedoids(DiversifyTuples.prune(e.lakeEmb, cfg.s), cfg.k * cfg.p)
+    val queryDf = DiversifyTuples.toDF(spark,
+      e.queryEmb.zipWithIndex.map { case (v, i) => DiversifyTuples.EmbTuple(i.toLong, q.name, v) })
+    val sparkChosen = DiversifyTuples.sparkRerank(spark, DiversifyTuples.toDF(spark, medoids), queryDf, cfg.k)
+      .orderBy("rk").select("id").collect().map(_.getLong(0)).toVector
+    assert(sparkChosen == DiversifyTuples.rerank(medoids, e.queryEmb, cfg.k).map(_.id))
+    assert(sparkChosen == result.selected.map(_.id))
   }
 
   test("DUST's selection is more min-diverse than the most-similar tuples (Fig 1 claim)") {
