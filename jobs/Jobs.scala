@@ -5,9 +5,8 @@ import repro.exp._
 
 /** spark-submit entrypoints — one per reproduced table. Each prints the
   * table exactly as the bench suite does. Every experiment runs on the
-  * driver and no job uses the session (no Parquet lake, no Spark
-  * prune/re-rank); it is created so each job runs as a normal Spark
-  * application under `spark-submit`.
+  * driver and no job uses the session; it is created so each job runs as
+  * a normal Spark application under `spark-submit`.
   */
 object JobUtil {
   def withSpark[A](name: String)(body: SparkSession => A): A = {

@@ -51,7 +51,9 @@ object Dust {
     Embedded(aligned, queryTuples, lakeTuples, lakeEmb, queryEmb)
   }
 
-  /** Full pipeline on the driver.
+  /** Full pipeline on the driver. A query with no rows is rejected with an
+    * `IllegalArgumentException` before any stage runs; an empty lake or an
+    * empty `tablesOverride` selects nothing.
     *
     * @param tablesOverride bypass SearchTables with a fixed unionable set
     *                       (the Table 2 experiments diversify ground-truth
@@ -60,6 +62,7 @@ object Dust {
   def run(query: SimpleTable, bench: LakeBenchmark, model: DustModel, cfg: Config,
           tfidfOpt: Option[TfIdf] = None,
           tablesOverride: Option[Vector[SimpleTable]] = None): Result = {
+    require(query.nRows > 0, "query table has no rows")
     val tfidf = tfidfOpt.getOrElse(TfIdf.fit(bench.lake :+ query))
     val tables = tablesOverride.getOrElse(
       UnionSearch.searchTables(query, bench, cfg.topN, embedder, tfidf))

@@ -2,10 +2,8 @@ package repro.data
 
 /** Core table model for the synthetic data lake.
   *
-  * Tables are small (lite-scale benchmarks), so they are held as plain
-  * row-major string matrices; [[LakeIO]] round-trips them through Parquet
-  * (long format), which `SparkPipelineBench` checks; the pipeline reads
-  * them from memory.
+  * Tables are small (lite-scale benchmarks), so they are held in memory as
+  * plain row-major string matrices.
   */
 
 /** A column of a lake/query table.

@@ -38,9 +38,11 @@ object Table3Experiment {
         val starmieSel = TupleSearch.topK(lakeTuples, queryTuples, kk)
           .map(t => model.embed(t.pairs))
 
-        // DUST end-to-end over its own searched tables.
-        val dust = Dust.run(q, bench, model, Dust.Config(topN = gtTables.size, k = kk),
-                            tfidfOpt = Some(tfidf))
+        // DUST end-to-end over its own searched tables: the top of the one
+        // lake ranking, which also gives Starmie's MAP below.
+        val ranked = UnionSearch.rankTables(q, bench, ColumnEmbedders.dustDefault, tfidf).map(_.table)
+        val dust = Dust.run(q, bench, model, Dust.Config(k = kk),
+                            tfidfOpt = Some(tfidf), tablesOverride = Some(ranked.take(gtTables.size)))
         val dustSel = dust.selected.map(t => model.embed(t.pairs))
 
         val llmSel =
@@ -59,8 +61,7 @@ object Table3Experiment {
         Table2Experiment.winners(scored.map(r => (r._1, r._2))).foreach(m => avgWins(m) += 1)
         Table2Experiment.winners(scored.map(r => (r._1, r._3))).foreach(m => minWins(m) += 1)
 
-        mapSum += UnionSearch.averagePrecision(q,
-          UnionSearch.rankTables(q, bench, ColumnEmbedders.dustDefault, tfidf).map(_.table))
+        mapSum += UnionSearch.averagePrecision(q, ranked)
         n += 1
       }
     }

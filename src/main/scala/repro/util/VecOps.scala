@@ -32,13 +32,6 @@ object VecOps {
     math.sqrt(s)
   }
 
-  def manhattan(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length, s"dim mismatch ${a.length} vs ${b.length}")
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += math.abs(a(i) - b(i)); i += 1 }
-    s
-  }
-
   /** a += w * b in place. */
   def addInPlace(a: Array[Double], b: Array[Double], w: Double = 1.0): Unit = {
     var i = 0

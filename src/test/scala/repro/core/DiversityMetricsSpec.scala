@@ -1,9 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions.col
-import repro.{Oracle, SparkSpec}
-import repro.core.DiversifyTuples.EmbTuple
-import repro.util.{Rng, VecOps}
+import repro.SparkSpec
 
 class DiversityMetricsSpec extends SparkSpec {
 
@@ -38,58 +35,5 @@ class DiversityMetricsSpec extends SparkSpec {
   test("single selected tuple with no query needs at least one distance") {
     intercept[IllegalArgumentException](
       DiversityMetrics.minDiversity(Vector.empty, Vector(Array(1.0))))
-  }
-
-  test("metrics support euclidean and manhattan distances") {
-    val a = DiversityMetrics.averageDiversity(q, sel, DiversityMetrics.euclidean)
-    val m = DiversityMetrics.averageDiversity(q, sel, DiversityMetrics.manhattan)
-    assert(a > 0 && m > 0 && m >= a)
-  }
-
-  test("spark average diversity equals the driver value") {
-    val rng = new Rng(7)
-    val qv = Vector.fill(5)(Array.fill(8)(rng.nextGaussian()))
-    val sv = Vector.fill(7)(Array.fill(8)(rng.nextGaussian()))
-    val qDf = DiversifyTuples.toDF(spark, qv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val sDf = DiversifyTuples.toDF(spark, sv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "s", v) })
-    val driver = DiversityMetrics.averageDiversity(qv, sv)
-    val sparkV = DiversityMetrics.sparkAverageDiversity(spark, qDf, sDf)
-    assert(math.abs(driver - sparkV) < 1e-9)
-  }
-
-  test("spark min diversity equals the driver value") {
-    val rng = new Rng(8)
-    val qv = Vector.fill(4)(Array.fill(8)(rng.nextGaussian()))
-    val sv = Vector.fill(6)(Array.fill(8)(rng.nextGaussian()))
-    val qDf = DiversifyTuples.toDF(spark, qv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val sDf = DiversifyTuples.toDF(spark, sv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "s", v) })
-    val driver = DiversityMetrics.minDiversity(qv, sv)
-    val sparkV = DiversityMetrics.sparkMinDiversity(spark, qDf, sDf)
-    assert(math.abs(driver - sparkV) < 1e-9)
-  }
-
-  test("oracle: Eq.(1)/(2) aggregates match DuckDB over the distance table") {
-    val rng = new Rng(9)
-    val qv = Vector.fill(4)(Array.fill(6)(rng.nextGaussian()))
-    val sv = Vector.fill(5)(Array.fill(6)(rng.nextGaussian()))
-    val qDf = DiversifyTuples.toDF(spark, qv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val sDf = DiversifyTuples.toDF(spark, sv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "s", v) })
-    val distances = DiversityMetrics.distancesDF(qDf, sDf)
-    import org.apache.spark.sql.functions._
-    val agg = distances.agg(
-      (sum("d") / (qv.size + sv.size)) as "avg_div",
-      min("d") as "min_div")
-    Oracle.assertEquivalent(agg,
-      s"SELECT sum(CAST(d AS DOUBLE)) / ${qv.size + sv.size} AS avg_div, " +
-      "min(CAST(d AS DOUBLE)) AS min_div FROM distances",
-      "distances" -> distances.select(col("d").cast("string") as "d"))
-  }
-
-  test("distancesDF row count is n*k + k*(k-1)/2") {
-    val qv = Vector.fill(3)(Array(1.0, 0.0))
-    val sv = Vector.fill(4)(Array(0.0, 1.0))
-    val qDf = DiversifyTuples.toDF(spark, qv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "q", v) })
-    val sDf = DiversifyTuples.toDF(spark, sv.zipWithIndex.map { case (v, i) => EmbTuple(i.toLong, "s", v) })
-    assert(DiversityMetrics.distancesDF(qDf, sDf).count() == 3 * 4 + 6)
   }
 }

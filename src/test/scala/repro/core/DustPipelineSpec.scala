@@ -80,6 +80,21 @@ class DustPipelineSpec extends SparkSpec {
     assert(r.tables == gt)
   }
 
+  test("a query with no rows is rejected before any stage runs") {
+    val empty = q.copy(rows = Vector.empty, baseRowIds = Vector.empty)
+    val e = intercept[IllegalArgumentException](
+      Dust.run(empty, bench, model, cfg, tfidfOpt = Some(Benchmarks.tfidfFor(bench))))
+    assert(e.getMessage.contains("query table has no rows"))
+  }
+
+  test("an empty lake or an empty table override selects nothing") {
+    val noLake = Dust.run(q, bench.copy(lake = Vector.empty), model, cfg)
+    assert(noLake.tables.isEmpty && noLake.lakeTuples.isEmpty && noLake.selected.isEmpty)
+    val noTables = Dust.run(q, bench, model, cfg, tfidfOpt = Some(Benchmarks.tfidfFor(bench)),
+      tablesOverride = Some(Vector.empty))
+    assert(noTables.tables.isEmpty && noTables.selected.isEmpty)
+  }
+
   test("embedTuples yields one embedding per tuple with stable ids") {
     val embs = Dust.embedTuples(model, result.lakeTuples.take(10))
     assert(embs.map(_.id) == result.lakeTuples.take(10).map(_.id))

@@ -64,17 +64,6 @@ class RngSpec extends SparkSpec {
     assert(r.shuffle(Vector(42)) == Vector(42))
   }
 
-  test("sampleIndices returns m distinct sorted indices") {
-    val r = new Rng(11)
-    val s = r.sampleIndices(100, 10)
-    assert(s.size == 10 && s.distinct.size == 10 && s == s.sorted)
-    assert(s.forall(i => i >= 0 && i < 100))
-  }
-
-  test("sampleIndices rejects m > n") {
-    intercept[IllegalArgumentException](new Rng(1).sampleIndices(3, 5))
-  }
-
   test("hashString is stable and spreads") {
     assert(Rng.hashString("abc") == Rng.hashString("abc"))
     assert(Rng.hashString("abc") != Rng.hashString("abd"))
@@ -83,11 +72,5 @@ class RngSpec extends SparkSpec {
 
   test("mix is order-sensitive") {
     assert(Rng.mix(1, 2) != Rng.mix(2, 1))
-  }
-
-  test("pick selects members only") {
-    val r = new Rng(13)
-    val xs = Vector("a", "b", "c")
-    (1 to 100).foreach(_ => assert(xs.contains(r.pick(xs))))
   }
 }
